@@ -23,10 +23,14 @@
 // With -append the snapshot is additionally appended as one NDJSON line
 // to an accumulating history file, so the repository keeps a commit-by-
 // commit performance log that plotting tooling can replay without
-// walking git history:
+// walking git history. -benchtime names the run's iteration setting and
+// is recorded in the snapshot; an append whose iteration mode (a fixed
+// count, "Nx", or a duration) differs from the history's is refused,
+// since a mean over 1 iteration and one over a second of iterations do
+// not compare:
 //
-//	go test -run '^$' -bench . -benchmem . \
-//	  | mtc-benchjson -append bench/history.ndjson
+//	go test -run '^$' -bench . -benchtime 1s -benchmem . \
+//	  | mtc-benchjson -benchtime 1s -append bench/history.ndjson
 //
 // Two history modes read that accumulating log instead of stdin (the
 // -append flag names the history file; nothing is appended):
@@ -53,6 +57,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -66,10 +71,13 @@ type Bench struct {
 
 // Snapshot is the file payload: one CI run's benchmark set.
 type Snapshot struct {
-	Date    string  `json:"date"`
-	Commit  string  `json:"commit,omitempty"`
-	Tool    string  `json:"tool"`
-	Benches []Bench `json:"benches"`
+	Date   string `json:"date"`
+	Commit string `json:"commit,omitempty"`
+	Tool   string `json:"tool"`
+	// Benchtime is the run's go test -benchtime ("1s", "3x"); empty
+	// when the snapshot did not record it.
+	Benchtime string  `json:"benchtime,omitempty"`
+	Benches   []Bench `json:"benches"`
 }
 
 // benchLine matches e.g.
@@ -85,6 +93,7 @@ func main() {
 	commit := flag.String("commit", os.Getenv("GITHUB_SHA"), "commit id recorded in the snapshot")
 	compare := flag.String("compare", "", "baseline snapshot to gate against (exit 1 on regression)")
 	appendPath := flag.String("append", "", "NDJSON history file to append this snapshot to (one line per run)")
+	benchtime := flag.String("benchtime", "", "the go test -benchtime of the run (e.g. 1s, 3x), recorded in the snapshot; required with -append")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs the baseline (0.25 = 25%)")
 	allocTolerance := flag.Float64("alloc-tolerance", 0.05, "allowed fractional allocs/op regression vs the baseline (counts are deterministic, so keep this tight)")
 	trendK := flag.Int("trend", 0, "history mode: exit 1 when any gated benchmark in the -append history degraded strictly monotonically over the last K runs (reads no stdin)")
@@ -124,10 +133,19 @@ func main() {
 		return
 	}
 
+	if *benchtime != "" && iterMode(*benchtime) == "" {
+		fmt.Fprintf(os.Stderr, "mtc-benchjson: -benchtime %q is neither a count (3x) nor a duration (1s)\n", *benchtime)
+		os.Exit(2)
+	}
+	if *appendPath != "" && *benchtime == "" {
+		fmt.Fprintln(os.Stderr, "mtc-benchjson: -append needs -benchtime, so the history only compares runs of one iteration mode")
+		os.Exit(2)
+	}
 	snap := Snapshot{
-		Date:   time.Now().UTC().Format(time.RFC3339),
-		Commit: *commit,
-		Tool:   "go",
+		Date:      time.Now().UTC().Format(time.RFC3339),
+		Commit:    *commit,
+		Tool:      "go",
+		Benchtime: *benchtime,
 	}
 	benches, err := parseBenches(os.Stdin)
 	if err != nil {
@@ -215,9 +233,27 @@ func parseBenches(r io.Reader) ([]Bench, error) {
 	return benches, sc.Err()
 }
 
+// iterMode classifies a go test -benchtime value: "count" for a fixed
+// iteration count ("3x"), "time" for a duration ("1s"), "" for neither.
+func iterMode(benchtime string) string {
+	if n, ok := strings.CutSuffix(benchtime, "x"); ok {
+		if v, err := strconv.Atoi(n); err == nil && v > 0 {
+			return "count"
+		}
+		return ""
+	}
+	if d, err := time.ParseDuration(benchtime); err == nil && d > 0 {
+		return "time"
+	}
+	return ""
+}
+
 // appendSnapshot appends snap as one compact JSON line to the NDJSON
 // history at path, creating the file on first use, and returns the
-// 1-based index of the appended run. Each line is a complete Snapshot,
+// 1-based index of the appended run. It refuses a snapshot whose
+// iteration mode differs from any run already in the history (a run
+// that recorded no -benchtime has a mode of its own), so -trend only
+// ever compares like with like. Each line is a complete Snapshot,
 // so the log keeps accumulating across commits and stays greppable and
 // replayable line by line. The new content is written to a temp file in
 // the same directory and renamed over path: a crash or full disk
@@ -227,6 +263,12 @@ func appendSnapshot(path string, snap Snapshot) (int, error) {
 	prior, err := readSnapshots(path) // also validates every existing line
 	if err != nil {
 		return 0, err
+	}
+	for i, p := range prior {
+		if iterMode(p.Benchtime) != iterMode(snap.Benchtime) {
+			return 0, fmt.Errorf("%s run %d was measured at -benchtime %q, this run at %q: iteration modes differ, refusing to append",
+				path, i+1, p.Benchtime, snap.Benchtime)
+		}
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {

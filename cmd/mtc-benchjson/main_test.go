@@ -131,6 +131,51 @@ func TestAppendAtomic(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesIterationModeMix pins the like-with-like rule of the
+// history: runs at different durations (or different counts) append,
+// a count-mode run onto a time-mode history (or onto runs that recorded
+// no -benchtime) is refused and leaves the file untouched.
+func TestAppendRefusesIterationModeMix(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "history.ndjson")
+	snap := func(benchtime string) Snapshot {
+		return Snapshot{Date: "2026-08-07T00:00:00Z", Commit: "aaaa", Tool: "go", Benchtime: benchtime,
+			Benches: []Bench{{Name: "BenchmarkX", Unit: "ns/op", Value: 100}}}
+	}
+	for _, bt := range []string{"1s", "2500ms"} {
+		if _, err := appendSnapshot(path, snap(bt)); err != nil {
+			t.Fatalf("append at -benchtime %s: %v", bt, err)
+		}
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bt := range []string{"3x", ""} {
+		if _, err := appendSnapshot(path, snap(bt)); err == nil || !strings.Contains(err.Error(), "iteration modes differ") {
+			t.Fatalf("append at -benchtime %q onto a time-mode history: %v", bt, err)
+		}
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Fatal("a refused append modified the history")
+	}
+
+	legacy := filepath.Join(dir, "legacy.ndjson")
+	if _, err := appendSnapshot(legacy, snap("")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendSnapshot(legacy, snap("1s")); err == nil {
+		t.Fatal("a time-mode run appended onto a history that never recorded its mode")
+	}
+
+	for bt, want := range map[string]string{"1s": "time", "250ms": "time", "3x": "count", "100x": "count",
+		"": "", "0x": "", "x": "", "fast": "", "-1s": ""} {
+		if got := iterMode(bt); got != want {
+			t.Errorf("iterMode(%q) = %q, want %q", bt, got, want)
+		}
+	}
+}
+
 // trendSnaps builds a history whose BenchmarkLeak ns/op series follows
 // vals, with a stable control series alongside.
 func trendSnaps(vals ...float64) []Snapshot {

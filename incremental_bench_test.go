@@ -151,3 +151,53 @@ func BenchmarkIncrementalPerCommit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIncrementalOutOfOrder10k feeds the same 10k history the way
+// a client that batches per database session delivers it: each
+// session's committed transactions, in session order, cut into 64-txn
+// frames dealt round-robin across the sessions. Most transactions then
+// arrive after one that committed later, so dependency edges invert the
+// online order and every Add pays graph.Online's reorder — the path the
+// commit-ordered benchmarks above never reach. CI gates its ratio to
+// BenchmarkIncrementalSER10k from the same run (docs/ci.md).
+func BenchmarkIncrementalOutOfOrder10k(b *testing.B) {
+	setupBig(b)
+	keys := make([]history.Key, 0, len(bigHist.Txns[0].Ops))
+	for _, op := range bigHist.Txns[0].Ops {
+		keys = append(keys, op.Key)
+	}
+	const frame = 64
+	var perSession [][]int
+	for _, ids := range bigHist.Sessions {
+		var txns []int
+		for _, id := range ids {
+			if bigHist.Txns[id].Committed && !(bigHist.HasInit && id == 0) {
+				txns = append(txns, id)
+			}
+		}
+		perSession = append(perSession, txns)
+	}
+	var order []int
+	for lo, dealt := 0, true; dealt; lo += frame {
+		dealt = false
+		for _, txns := range perSession {
+			if lo < len(txns) {
+				order = append(order, txns[lo:min(lo+frame, len(txns))]...)
+				dealt = true
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inc := core.NewIncremental(core.SER)
+		inc.InitTxn(keys...)
+		for _, j := range order {
+			if vio := inc.Add(bigHist.Txns[j]); vio != nil {
+				b.Fatal("valid stream rejected")
+			}
+		}
+		if !inc.Finalize().OK {
+			b.Fatal("valid stream rejected at finalize")
+		}
+	}
+}

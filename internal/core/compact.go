@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mtc/internal/graph"
 	"mtc/internal/history"
@@ -216,7 +217,7 @@ func (inc *Incremental) Compact(frontier int, pin func(ext int) bool) CompactSta
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return inc.topo.Ord(order[a]) < inc.topo.Ord(order[b]) })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(inc.topo.Ord(a), inc.topo.Ord(b)) })
 
 	newTopo := graph.NewOnline()
 	remap := make([]int, nNodes)

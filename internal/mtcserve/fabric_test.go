@@ -3,6 +3,7 @@ package mtcserve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -192,6 +193,74 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 	}
 	if gotC := waitJob(t, ts2, jobC.ID, 10*time.Second); gotC.State != api.JobDone {
 		t.Fatalf("jobC: %+v", gotC)
+	}
+}
+
+// TestFabricSubmitBeforeEnqueue forces the interleaving in which a pool
+// worker picks a distributed job up the instant it is queued: the
+// coordinator must already know the job then, or the worker's Wait
+// fails an accepted job with fabric.ErrUnknownJob. A job refused for a
+// full queue must not stay pending on the coordinator either.
+func TestFabricSubmitBeforeEnqueue(t *testing.T) {
+	coord, err := fabric.Open(filepath.Join(t.TempDir(), "fabric.wal"), fabric.Config{HeartbeatTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("fabric.Open: %v", err)
+	}
+	defer coord.Close()
+	srv := NewServer(nil)
+	srv.Fabric = coord
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	waited := make(chan error, 1)
+	srv.onEnqueue = func(j *job) {
+		// The fastest pool worker's first step, taken before the
+		// submitting request goes any further.
+		_, err := coord.Wait(gone, j.id)
+		waited <- err
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	stop := startFabricWorkers(t, ts.URL, 1)
+	defer stop()
+
+	h := tenantJobHistory()
+	resp, acc := submitJob(t, ts, api.JobRequest{Checker: "mtc", Level: "SI", Distributed: true, History: h})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	if err := <-waited; !errors.Is(err, context.Canceled) {
+		t.Fatalf("job %s was queued before the coordinator recorded it: Wait = %v", acc.ID, err)
+	}
+	if done := waitJob(t, ts, acc.ID, 10*time.Second); done.State != api.JobDone {
+		t.Fatalf("accepted job: %+v", done)
+	}
+}
+
+// TestFabricQueueFullCancels fills the pool queue (an unbuffered queue
+// with no pool worker refuses every job) and checks the refused
+// distributed job is failed on the coordinator, not left pending for a
+// restart to resume.
+func TestFabricQueueFullCancels(t *testing.T) {
+	coord, err := fabric.Open(filepath.Join(t.TempDir(), "fabric.wal"), fabric.Config{})
+	if err != nil {
+		t.Fatalf("fabric.Open: %v", err)
+	}
+	defer coord.Close()
+	srv := NewServer(nil)
+	srv.Fabric = coord
+	srv.workersOnce.Do(func() { srv.queue = make(chan *job) })
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, _ := submitJob(t, ts, api.JobRequest{Checker: "mtc", Level: "SI", Distributed: true, History: tenantJobHistory()})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit to a full queue: %d", resp.StatusCode)
+	}
+	jobs := coord.Jobs()
+	if len(jobs) != 1 || jobs[0].State != fabric.JobFailed {
+		t.Fatalf("refused job on the coordinator: %+v", jobs)
 	}
 }
 

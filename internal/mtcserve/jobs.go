@@ -332,32 +332,49 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextJobID++
 	j.id = "j" + strconv.Itoa(s.nextJobID)
 	j.events[0].JobID = j.id
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.jobsMu.Unlock()
-	default:
-		s.jobsMu.Unlock()
-		cancel()
-		w.Header().Set("Retry-After", strconv.Itoa(defaultRetryAfterS))
-		s.v1Error(w, r, http.StatusTooManyRequests, api.CodeQueueFull,
-			"job queue is full (%d queued); retry shortly", s.queueDepth())
-		return
-	}
+	s.jobsMu.Unlock()
 	if j.distributed {
-		// Submit to the coordinator before acknowledging: the WAL append
-		// inside Submit is the durability point, so an accepted
-		// distributed job survives a coordinator restart even if no pool
-		// worker picked it up yet. (A pool worker then merely waits for
-		// the fold; Submit is idempotent for recovered jobs.)
+		// Submit to the coordinator before the job can reach the pool: a
+		// pool worker that dequeues it at once Waits on the coordinator's
+		// record, which must already exist. The WAL append inside Submit
+		// is also the durability point, so an accepted distributed job
+		// survives a coordinator restart even if no pool worker picked it
+		// up yet. Submit is idempotent for recovered jobs.
 		if err := s.Fabric.Submit(j.id, name, req.History, opts); err != nil {
-			j.cancel()
-			j.transition(api.JobFailed, nil, err.Error())
+			cancel()
 			s.v1Error(w, r, http.StatusInternalServerError, api.CodeInternal, "fabric submission failed: %v", err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	s.jobsMu.Lock()
+	closed := s.closed
+	if !closed {
+		select {
+		case s.queue <- j:
+			s.jobs[j.id] = j
+			if s.onEnqueue != nil {
+				s.onEnqueue(j)
+			}
+			s.jobsMu.Unlock()
+			writeJSON(w, http.StatusAccepted, j.status())
+			return
+		default:
+		}
+	}
+	s.jobsMu.Unlock()
+	cancel()
+	if j.distributed {
+		// The coordinator already logged the job; fail it durably so a
+		// restart does not resume a job this request refused.
+		s.Fabric.Cancel(j.id, "job refused at submission")
+	}
+	if closed {
+		s.v1Error(w, r, http.StatusServiceUnavailable, api.CodeInternal, "server is shutting down")
+		return
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(defaultRetryAfterS))
+	s.v1Error(w, r, http.StatusTooManyRequests, api.CodeQueueFull,
+		"job queue is full (%d queued); retry shortly", s.queueDepth())
 }
 
 // handleJobList implements GET /v1/jobs.

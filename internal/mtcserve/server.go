@@ -146,6 +146,10 @@ type Server struct {
 	queue       chan *job
 	workersOnce sync.Once
 	closed      bool
+	// onEnqueue, when set (by tests), runs on the submitting goroutine
+	// the moment a job enters the pool queue — the earliest point a pool
+	// worker can pick it up.
+	onEnqueue func(*job)
 }
 
 // DefaultMaxSessions is the default cap on live streaming sessions.
