@@ -156,6 +156,9 @@ func main() {
 		if report.Edges > 0 {
 			fmt.Printf(", %d dependency edges", report.Edges)
 		}
+		if report.ShardComponents > 0 {
+			fmt.Printf(", %d components", report.ShardComponents)
+		}
 		fmt.Println(")")
 		printProfile(report)
 		return

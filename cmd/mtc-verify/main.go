@@ -1,107 +1,93 @@
 // Command mtc-verify checks a saved history file against an isolation
-// level using any of the implemented checkers.
+// level using any registered checker (see mtc -checkers). The file's
+// codec — JSON, text, NDJSON or MTCB, optionally gzipped — is detected
+// from its content.
 //
 // Examples:
 //
 //	mtc-verify -level SI history.json
-//	mtc-verify -level SER -checker cobra -format text history.txt
+//	mtc-verify -level SER -checker cobra history.txt
 //	mtc-verify -level SI -stream -window 1024 capture.ndjson.gz
 //	mtc-verify -level SER -stream capture.mtcb
+//
+// It exits 0 when the history satisfies the level, 1 on a violation and
+// 2 on a usage, input or engine error.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"mtc/internal/cobra"
+	"mtc/internal/checker"
 	"mtc/internal/core"
-	"mtc/internal/elle"
 	"mtc/internal/history"
-	"mtc/internal/polysi"
 )
 
-func main() {
-	var (
-		level   = flag.String("level", "SI", "isolation level: SSER, SER or SI")
-		checker = flag.String("checker", "mtc", "checker: mtc, cobra, polysi, elle-wr")
-		format  = flag.String("format", "json", "history file format: json or text")
-		stream  = flag.Bool("stream", false, "verify an NDJSON or MTCB capture transaction-by-transaction without loading it (codec sniffed by content; mtc checker, SER or SI)")
-		window  = flag.Int("window", 0, "with -stream: compact the checker to this window (0 = unbounded, always exact; windowed verdicts are exact for captures recorded in ingestion order — for session-grouped files the window must exceed the capture's commit-to-record skew or stale reads report ThinAirRead)")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mtc-verify [-level L] [-checker C] [-stream [-window N]] <history-file>")
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *stream {
-		streamVerify(flag.Arg(0), core.Level(*level), *window)
-		return
-	}
-
+// run parses args, verifies the named file and prints the verdict to
+// stdout; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mtc-verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		h   *history.History
-		err error
+		level  = fs.String("level", "SI", "isolation level (any case): "+checker.LevelNames(checker.AllLevels()))
+		name   = fs.String("checker", "mtc", "verification engine (see mtc -checkers)")
+		stream = fs.Bool("stream", false, "verify an NDJSON or MTCB capture transaction-by-transaction without loading it (codec sniffed by content; mtc checker, SER or SI)")
+		window = fs.Int("window", 0, "with -stream: compact the checker to this window (0 = unbounded, always exact; windowed verdicts are exact for captures recorded in ingestion order — for session-grouped files the window must exceed the capture's commit-to-record skew or stale reads report ThinAirRead)")
 	)
-	switch *format {
-	case "json":
-		h, err = history.LoadFile(flag.Arg(0))
-	case "text":
-		var f *os.File
-		f, err = os.Open(flag.Arg(0))
-		if err == nil {
-			defer f.Close()
-			h, err = history.ReadText(f)
-		}
-	default:
-		fatalf("unknown format %q", *format)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: mtc-verify [-level L] [-checker C] [-stream [-window N]] <history-file>")
+		return 2
+	}
+	ok, err := verify(fs.Arg(0), *name, *level, *stream, *window, stdout)
+	switch {
+	case err != nil:
+		fmt.Fprintf(stderr, "mtc-verify: %v\n", err)
+		return 2
+	case !ok:
+		return 1
+	}
+	return 0
+}
+
+// verify checks the history file at path and prints the verdict to
+// stdout. The error marks a usage, input or engine failure, not a
+// verdict.
+func verify(path, name, level string, stream bool, window int, stdout io.Writer) (bool, error) {
+	lvl, err := checker.ParseLevel(level)
 	if err != nil {
-		fatalf("load: %v", err)
+		return false, err
 	}
-
-	lvl := core.Level(*level)
-	ok := false
-	switch *checker {
-	case "mtc":
-		r := core.Check(h, lvl)
-		fmt.Println(r.Explain())
-		ok = r.OK
-	case "cobra":
-		if lvl != core.SER {
-			fatalf("cobra checks SER only")
-		}
-		r := cobra.CheckSER(h)
-		fmt.Printf("cobra: OK=%v constraints=%d forced=%d residual=%d decisions=%d\n",
-			r.OK, r.Constraints, r.Forced, r.Residual, r.Solver.Decisions)
-		ok = r.OK
-	case "polysi":
-		if lvl != core.SI {
-			fatalf("polysi checks SI only")
-		}
-		r := polysi.CheckSI(h)
-		fmt.Printf("polysi: OK=%v constraints=%d forced=%d residual=%d decisions=%d\n",
-			r.OK, r.Constraints, r.Forced, r.Residual, r.Solver.Decisions)
-		ok = r.OK
-	case "elle-wr":
-		if lvl != core.SER && lvl != core.SI {
-			fatalf("elle-wr checks SER or SI")
-		}
-		r := elle.CheckRWRegister(h, elle.Level(lvl))
-		if r.OK {
-			fmt.Printf("elle-wr: history satisfies %s\n", lvl)
-		} else {
-			fmt.Printf("elle-wr: history VIOLATES %s: %s\n", lvl, r.Reason)
-		}
-		ok = r.OK
-	default:
-		fatalf("unknown checker %q", *checker)
+	if stream {
+		return streamVerify(path, lvl, window, stdout)
 	}
-	if !ok {
-		os.Exit(1)
+	h, err := history.LoadFile(path)
+	if err != nil {
+		return false, fmt.Errorf("load: %w", err)
 	}
+	rep, err := checker.Run(context.Background(), name, h, checker.Options{Level: lvl})
+	if err != nil {
+		return false, err
+	}
+	if rep.OK {
+		fmt.Fprintf(stdout, "[%s] history satisfies %s (%d txns)\n", rep.Checker, rep.Level, rep.Txns)
+		return true, nil
+	}
+	fmt.Fprintf(stdout, "[%s] history VIOLATES %s:\n", rep.Checker, rep.Level)
+	for _, a := range rep.Anomalies {
+		fmt.Fprintf(stdout, "  %s\n", a)
+	}
+	if rep.Detail != "" {
+		fmt.Fprintf(stdout, "  %s\n", rep.Detail)
+	}
+	return false, nil
 }
 
 // streamVerify feeds an NDJSON or MTCB capture straight into the online
@@ -109,30 +95,23 @@ func main() {
 // transaction is held at a time, and with a window the checker itself
 // stays bounded too, so captures of any length verify in near-constant
 // memory.
-func streamVerify(path string, lvl core.Level, window int) {
+func streamVerify(path string, lvl core.Level, window int, stdout io.Writer) (bool, error) {
 	if lvl != core.SER && lvl != core.SI {
-		fatalf("-stream checks SER or SI")
+		return false, fmt.Errorf("-stream checks SER or SI")
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		fatalf("open: %v", err)
+		return false, fmt.Errorf("open: %w", err)
 	}
 	defer f.Close()
 	sr, err := history.NewAutoStreamReader(f)
 	if err != nil {
-		fatalf("stream: %v", err)
+		return false, fmt.Errorf("stream: %w", err)
 	}
 	r, err := core.CheckStreamCtx(context.Background(), sr, lvl, window, 0)
 	if err != nil {
-		fatalf("stream: %v", err) // codec/read error, not a verdict
+		return false, fmt.Errorf("stream: %w", err) // codec/read error, not a verdict
 	}
-	fmt.Println(r.Explain())
-	if !r.OK {
-		os.Exit(1)
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mtc-verify: "+format+"\n", args...)
-	os.Exit(2)
+	fmt.Fprintln(stdout, r.Explain())
+	return r.OK, nil
 }

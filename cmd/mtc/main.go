@@ -167,10 +167,7 @@ func main() {
 		// lattice rungs route to their dedicated checkers.
 		name = strings.ToLower(string(claimed))
 	}
-	if *shardN > 0 {
-		name = shard.Name(name) // route through the component-sharded wrapper
-	}
-	v, err := checker.Run(ctx, name, res.H, checker.Options{Level: claimed, Parallelism: *parallelism, Window: *window, Shard: *shardN})
+	v, err := shard.Run(ctx, checker.Default, name, res.H, checker.Options{Level: claimed, Parallelism: *parallelism, Window: *window, Shard: *shardN})
 	if err != nil {
 		fatalf("%v", err)
 	}

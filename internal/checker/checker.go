@@ -81,13 +81,12 @@ type Options struct {
 	// at every setting (differentially tested). <= 0 checks unbounded;
 	// engines other than mtc-incremental ignore it.
 	Window int
-	// Shard bounds the worker pool of the component-sharded wrappers
-	// (the "*-sharded" registry entries, internal/shard): the history is
-	// decomposed into key/session-disjoint connected components and up
-	// to Shard components are checked concurrently, each through the
-	// wrapped engine. <= 0 selects GOMAXPROCS. Merged verdicts are
-	// identical to unsharded checking (differentially tested); base
-	// engines ignore the field.
+	// Shard > 0 selects component-sharded checking (internal/shard.Run):
+	// the history is decomposed into key/session-disjoint connected
+	// components and up to Shard components are checked concurrently,
+	// each through the named engine. Merged verdicts are identical to
+	// unsharded checking (differentially tested). <= 0 checks the whole
+	// history at once; the engines themselves ignore the field.
 	Shard int
 	// Index optionally hands the MTC engine a prebuilt columnar index
 	// of the history under check (history.ReadMTCBIndexed builds one as
@@ -125,10 +124,9 @@ type Report struct {
 	// transactions they collapsed. Zero when checking unbounded.
 	CompactedEpochs int `json:"compacted_epochs,omitempty"`
 	CompactedTxns   int `json:"compacted_txns,omitempty"`
-	// ShardComponents reports component-sharded checking (the "*-sharded"
-	// wrappers under Options.Shard): how many key/session-disjoint
-	// components the history decomposed into. Zero when checking
-	// unsharded.
+	// ShardComponents reports component-sharded checking (Options.Shard
+	// > 0): how many key/session-disjoint components the history
+	// decomposed into. Zero when checking unsharded.
 	ShardComponents int `json:"shard_components,omitempty"`
 	// StrongestLevel reports the strongest isolation level the history
 	// satisfies, or "NONE" when every rung is violated. Only the profile
@@ -256,18 +254,31 @@ func (r *Registry) All() []Checker {
 // unsupported histories, or cancellation — as opposed to verification
 // failures, which land in the Report.
 func (r *Registry) Run(ctx context.Context, name string, h *history.History, opts Options) (Report, error) {
-	c, err := r.Lookup(name)
+	c, lvl, err := r.Resolve(name, opts.Level)
 	if err != nil {
 		return Report{}, err
 	}
-	if opts.Level == "" {
-		opts.Level = c.Levels()[0]
-	}
-	if !Supports(c, opts.Level) {
-		return Report{}, fmt.Errorf("checker: %s does not support level %q (supports %s)",
-			c.Name(), opts.Level, LevelNames(c.Levels()))
-	}
+	opts.Level = lvl
 	return c.Check(ctx, h, opts)
+}
+
+// Resolve looks name up and settles the level a run of it checks: an
+// empty lvl selects the checker's default (the first of its Levels), and
+// a level the checker does not list is an error. Run and the sharded
+// entry point (internal/shard.Run) both dispatch through it.
+func (r *Registry) Resolve(name string, lvl Level) (Checker, Level, error) {
+	c, err := r.Lookup(name)
+	if err != nil {
+		return nil, "", err
+	}
+	if lvl == "" {
+		lvl = c.Levels()[0]
+	}
+	if !Supports(c, lvl) {
+		return nil, "", fmt.Errorf("checker: %s does not support level %q (supports %s)",
+			c.Name(), lvl, LevelNames(c.Levels()))
+	}
+	return c, lvl, nil
 }
 
 // Supports reports whether the engine lists lvl; callers validating a

@@ -33,22 +33,17 @@ type Report struct {
 
 // CheckSER verifies serializability of a general (or MT) history.
 func CheckSER(h *history.History) Report {
-	rep, _ := CheckSERCtx(context.Background(), h)
+	rep, _ := CheckSERPar(context.Background(), h, 1)
 	return rep
 }
 
-// CheckSERCtx is CheckSER under a context: both the pruning fixpoint and
-// the SAT search poll ctx, so a deadline stops the run promptly. The
-// Report is only meaningful when the returned error is nil. Pruning runs
-// serially; CheckSERPar parallelizes it.
-func CheckSERCtx(ctx context.Context, h *history.History) (Report, error) {
-	return CheckSERPar(ctx, h, 1)
-}
-
-// CheckSERPar is CheckSERCtx with the pruning stage — reachability
-// closure and constraint checking, the pipeline's dominant cost — sharded
-// over a bounded worker pool. par <= 0 selects GOMAXPROCS. The verdict
-// and all statistics except wall-clock are identical at every par.
+// CheckSERPar is CheckSER under a context, with the pruning stage —
+// reachability closure and constraint checking, the pipeline's dominant
+// cost — sharded over a bounded worker pool. Both the pruning fixpoint
+// and the SAT search poll ctx, so a deadline stops the run promptly; the
+// Report is only meaningful when the returned error is nil. par <= 0
+// selects GOMAXPROCS, 1 prunes serially. The verdict and all statistics
+// except wall-clock are identical at every par.
 func CheckSERPar(ctx context.Context, h *history.History, par int) (Report, error) {
 	ix := history.NewIndex(h)
 	if as := history.CheckInternalIndexed(ix); len(as) > 0 {

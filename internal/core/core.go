@@ -262,17 +262,14 @@ func preCheck(ix *history.Index, lvl Level, opts Options) *Result {
 
 // CheckSER decides serializability (Definition 5) in Θ(n): the history
 // satisfies SER iff the pre-check passes and SO ∪ WR ∪ WW ∪ RW is acyclic.
-func CheckSER(h *history.History) Result { return CheckSEROpt(h, Options{}) }
-
-// CheckSEROpt is CheckSER with options.
-func CheckSEROpt(h *history.History, opts Options) Result {
-	r, _ := CheckSERCtx(context.Background(), h, opts)
+func CheckSER(h *history.History) Result {
+	r, _ := CheckSERCtx(context.Background(), h, Options{})
 	return r
 }
 
-// CheckSERCtx is CheckSER under a context: graph construction polls ctx
-// and the run returns the context's error instead of a verdict when the
-// deadline fires.
+// CheckSERCtx is CheckSER with options and under a context: graph
+// construction polls ctx and the run returns the context's error instead
+// of a verdict when the deadline fires.
 func CheckSERCtx(ctx context.Context, h *history.History, opts Options) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -348,16 +345,14 @@ func CheckSSERCtx(ctx context.Context, h *history.History, opts Options) (Result
 // CheckSI decides snapshot isolation (Definition 6) in Θ(n): reject on any
 // DIVERGENCE witness (Lemma 1), otherwise check acyclicity of the induced
 // graph (SO ∪ WR ∪ WW) ; RW?.
-func CheckSI(h *history.History) Result { return CheckSIOpt(h, Options{}) }
-
-// CheckSIOpt is CheckSI with options.
-func CheckSIOpt(h *history.History, opts Options) Result {
-	r, _ := CheckSICtx(context.Background(), h, opts)
+func CheckSI(h *history.History) Result {
+	r, _ := CheckSICtx(context.Background(), h, Options{})
 	return r
 }
 
-// CheckSICtx is CheckSI under a context: graph construction and the
-// composition step poll ctx, returning its error when the deadline fires.
+// CheckSICtx is CheckSI with options and under a context: graph
+// construction and the composition step poll ctx, returning its error
+// when the deadline fires.
 func CheckSICtx(ctx context.Context, h *history.History, opts Options) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err

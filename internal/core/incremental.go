@@ -650,16 +650,8 @@ func (inc *Incremental) Finalize() Result {
 // replay exactly in ID order. Counterexample transaction IDs are mapped
 // back to History.Txns indices before returning.
 func CheckIncremental(h *history.History, lvl Level) Result {
-	r, _ := CheckIncrementalCtx(context.Background(), h, lvl)
+	r, _ := CheckIncrementalWindowedCtx(context.Background(), h, lvl, 0)
 	return r
-}
-
-// CheckIncrementalCtx is CheckIncremental under a context: the replay
-// loop polls ctx between batches of transactions, so long replays stop
-// promptly under a deadline. It is the unbounded (window 0) form of the
-// shared replay driver in CheckIncrementalWindowedCtx.
-func CheckIncrementalCtx(ctx context.Context, h *history.History, lvl Level) (Result, error) {
-	return CheckIncrementalWindowedCtx(ctx, h, lvl, 0)
 }
 
 // RemapResult rewrites the transaction ids of a verdict's counterexample

@@ -572,21 +572,3 @@ func TestFabricEngineErrorFailsJob(t *testing.T) {
 		t.Fatalf("job state %q, want failed", jobs[0].State)
 	}
 }
-
-// TestFabricShardedNameReduces: submitting under a "-sharded" wrapper
-// name runs the base engine — the coordinator itself is the sharding.
-func TestFabricShardedNameReduces(t *testing.T) {
-	c := openTestCoord(t, filepath.Join(t.TempDir(), "fabric.wal"), nil)
-	defer c.Close()
-	w := c.Register(api.WorkerHello{})
-	if err := c.Submit("j1", "mtc-sharded", tenantHistory(2, 3), checker.Options{Level: core.SER}); err != nil {
-		t.Fatal(err)
-	}
-	task, err := c.Pull(w.ID)
-	if err != nil || task == nil {
-		t.Fatal(err)
-	}
-	if task.Checker != "mtc" {
-		t.Fatalf("task engine %q, want the base engine mtc", task.Checker)
-	}
-}

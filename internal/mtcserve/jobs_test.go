@@ -415,27 +415,43 @@ func TestUnsupportedHistoryJobFails(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesCarryDeprecationHeaders asserts the pre-v1 aliases
-// answer with Deprecation/Link while the v1 routes do not.
-func TestLegacyRoutesCarryDeprecationHeaders(t *testing.T) {
+// TestLegacyRoutesRemoved: the unversioned routes are gone, and so are
+// the "-sharded" checker names — sharding is the job's shard option.
+func TestLegacyRoutesRemoved(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	legacy, err := http.Get(ts.URL + "/checkers")
+	for _, route := range []struct{ method, path string }{
+		{"GET", "/checkers"},
+		{"POST", "/check"},
+		{"GET", "/fixtures"},
+		{"GET", "/fixtures/WriteSkew"},
+		{"POST", "/sessions"},
+		{"POST", "/sessions/s1/txns"},
+		{"GET", "/sessions/s1/verdict"},
+		{"DELETE", "/sessions/s1"},
+	} {
+		req, _ := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s = %d, want 404", route.method, route.path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"checker":"mtc-sharded","level":"SI","history":{}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.Body.Close()
-	if legacy.Header.Get("Deprecation") != "true" ||
-		!strings.Contains(legacy.Header.Get("Link"), "/v1/checkers") {
-		t.Fatalf("legacy route headers: %v", legacy.Header)
-	}
-	v1, err := http.Get(ts.URL + "/v1/checkers")
-	if err != nil {
+	defer resp.Body.Close()
+	var env api.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	v1.Body.Close()
-	if v1.Header.Get("Deprecation") != "" {
-		t.Fatal("v1 route must not be deprecated")
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeUnknownChecker {
+		t.Fatalf("mtc-sharded: %d/%s, want 400/%s", resp.StatusCode, env.Error.Code, api.CodeUnknownChecker)
 	}
 }
 

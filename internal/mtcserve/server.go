@@ -29,11 +29,9 @@
 //	GET    /v1/fixtures/{name}?level=   report on a fixture
 //	GET    /healthz
 //
-// The pre-v1 routes (/checkers, /check, /fixtures, /sessions) remain as
-// thin deprecated aliases; they answer with Deprecation and Link headers
-// naming their v1 successor. Every request carries an X-Request-Id
-// (client-supplied or generated), v1 errors use a structured
-// {error:{code,message}} envelope, and request bodies are size-limited.
+// Every request carries an X-Request-Id (client-supplied or generated),
+// errors use a structured {error:{code,message}} envelope, and request
+// bodies are size-limited.
 package mtcserve
 
 import (
@@ -54,28 +52,6 @@ import (
 	"mtc/internal/fabric"
 	"mtc/internal/history"
 )
-
-// Verdict is the legacy JSON wire form of a checker verdict, served by
-// the deprecated pre-v1 routes. v1 responses embed checker.Report
-// instead, which keeps anomalies and cycle edges structured.
-type Verdict struct {
-	Level     string   `json:"level"`
-	Checker   string   `json:"checker"`
-	OK        bool     `json:"ok"`
-	Txns      int      `json:"txns"`
-	Edges     int      `json:"edges,omitempty"`
-	Anomalies []string `json:"anomalies,omitempty"`
-	Cycle     []string `json:"cycle,omitempty"`
-	Detail    string   `json:"detail,omitempty"`
-}
-
-// apiError is the legacy flat error body of the deprecated routes.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// checkerInfo describes one registry entry in GET /checkers.
-type checkerInfo = api.CheckerInfo
 
 // Server carries the registry, the job pool, and the live streaming
 // sessions. Safe for concurrent use. The zero-value knobs select the
@@ -353,16 +329,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fabric/workers/{id}/pull", s.handleFabricPull)
 	mux.HandleFunc("POST /v1/fabric/workers/{id}/results", s.handleFabricResults)
 	mux.HandleFunc("GET /v1/fabric/status", s.handleFabricStatus)
-
-	// Pre-v1 aliases, kept for one deprecation cycle.
-	mux.HandleFunc("GET /checkers", deprecated("/v1/checkers", s.handleCheckers))
-	mux.HandleFunc("POST /check", deprecated("/v1/jobs", s.handleCheck))
-	mux.HandleFunc("GET /fixtures", deprecated("/v1/fixtures", s.handleFixtures))
-	mux.HandleFunc("GET /fixtures/{name}", deprecated("/v1/fixtures/{name}", s.handleFixture))
-	mux.HandleFunc("POST /sessions", deprecated("/v1/sessions", s.handleSessionOpen))
-	mux.HandleFunc("POST /sessions/{id}/txns", deprecated("/v1/sessions/{id}/txns", s.handleSessionTxns))
-	mux.HandleFunc("GET /sessions/{id}/verdict", deprecated("/v1/sessions/{id}/verdict", s.handleSessionVerdict))
-	mux.HandleFunc("DELETE /sessions/{id}", deprecated("/v1/sessions/{id}", s.handleSessionDelete))
 	return s.middleware(mux)
 }
 
@@ -374,12 +340,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// httpError writes the legacy flat error body (deprecated routes).
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// v1Error writes the v1 structured error envelope.
+// v1Error writes the structured error envelope.
 func (s *Server) v1Error(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...any) {
 	writeJSON(w, status, api.ErrorResponse{
 		Error:     api.Error{Code: code, Message: fmt.Sprintf(format, args...)},
@@ -398,73 +359,15 @@ func parseLevelParam(r *http.Request) (core.Level, error) {
 }
 
 func (s *Server) handleCheckers(w http.ResponseWriter, r *http.Request) {
-	var out []checkerInfo
+	var out []api.CheckerInfo
 	for _, c := range s.reg.All() {
-		info := checkerInfo{Name: c.Name()}
+		info := api.CheckerInfo{Name: c.Name()}
 		for _, l := range c.Levels() {
 			info.Levels = append(info.Levels, string(l))
 		}
 		out = append(out, info)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// handleCheck is the deprecated synchronous whole-history check; its v1
-// successor is the job API.
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	lvl, lvlErr := parseLevelParam(r)
-	if lvlErr != nil {
-		httpError(w, http.StatusBadRequest, "%v", lvlErr)
-		return
-	}
-	name := r.URL.Query().Get("checker")
-	if name == "" {
-		name = s.defaultChecker()
-	}
-	if _, err := s.reg.Lookup(name); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	h, err := history.ReadJSON(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad history: %v", err)
-		return
-	}
-	rep, err := s.reg.Run(r.Context(), name, h, checker.Options{Level: lvl})
-	switch {
-	case checker.IsUnsupported(err):
-		// The engine could not process this history (e.g. Porcupine on a
-		// history that is not LWT-shaped): the request was well-formed
-		// but unprocessable by the selected checker.
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fromReport(rep))
-}
-
-// fromReport converts a checker report to the legacy wire form.
-func fromReport(v checker.Report) Verdict {
-	out := Verdict{
-		Level: string(v.Level), Checker: v.Checker, OK: v.OK,
-		Txns: v.Txns, Edges: v.Edges, Detail: v.Detail,
-	}
-	for _, a := range v.Anomalies {
-		out.Anomalies = append(out.Anomalies, a.String())
-	}
-	for _, e := range v.Cycle {
-		out.Cycle = append(out.Cycle, e.String())
-	}
-	return out
-}
-
-// reportFromResult converts a core.Result to a checker.Report for the
-// session endpoints (the shared normalisation lives in the checker
-// package).
-func reportFromResult(r core.Result, checkerName string) checker.Report {
-	return checker.ReportFromResult(checkerName, r)
 }
 
 func (s *Server) handleFixtures(w http.ResponseWriter, r *http.Request) {
@@ -475,40 +378,19 @@ func (s *Server) handleFixtures(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, names)
 }
 
-// handleFixture is the deprecated fixture check (legacy Verdict shape).
-func (s *Server) handleFixture(w http.ResponseWriter, r *http.Request) {
-	rep, status, err := s.fixtureReport(r)
-	if err != nil {
-		httpError(w, status, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fromReport(rep))
-}
-
-// handleFixtureV1 serves the fixture check with the structured Report.
+// handleFixtureV1 runs the MTC engine on a named fixture and serves the
+// structured Report.
 func (s *Server) handleFixtureV1(w http.ResponseWriter, r *http.Request) {
-	rep, status, err := s.fixtureReport(r)
-	if err != nil {
-		code := api.CodeBadRequest
-		if status == http.StatusNotFound {
-			code = api.CodeNotFound
-		}
-		s.v1Error(w, r, status, code, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// fixtureReport runs the MTC engine on a named fixture.
-func (s *Server) fixtureReport(r *http.Request) (checker.Report, int, error) {
 	name := r.PathValue("name")
 	f := history.FixtureByName(name)
 	if f == nil {
-		return checker.Report{}, http.StatusNotFound, fmt.Errorf("unknown fixture %q", name)
+		s.v1Error(w, r, http.StatusNotFound, api.CodeNotFound, "unknown fixture %q", name)
+		return
 	}
 	lvl, err := parseLevelParam(r)
 	if err != nil {
-		return checker.Report{}, http.StatusBadRequest, err
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		return
 	}
 	if lvl == "" {
 		lvl = core.SI
@@ -521,9 +403,10 @@ func (s *Server) fixtureReport(r *http.Request) (checker.Report, int, error) {
 	}
 	rep, err := s.reg.Run(r.Context(), engine, f.H, checker.Options{Level: lvl})
 	if err != nil {
-		return checker.Report{}, http.StatusBadRequest, err
+		s.v1Error(w, r, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		return
 	}
-	return rep, http.StatusOK, nil
+	writeJSON(w, http.StatusOK, rep)
 }
 
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
@@ -603,11 +486,11 @@ func (s *Server) status(id string, sess *session) api.SessionStatus {
 	}
 	if sess.final != nil {
 		st.OK = sess.final.OK
-		v := reportFromResult(*sess.final, "mtc-incremental")
+		v := checker.ReportFromResult("mtc-incremental", *sess.final)
 		st.Report = &v
 	} else if vio := sess.inc.Violation(); vio != nil {
 		st.OK = false
-		v := reportFromResult(*vio, "mtc-incremental")
+		v := checker.ReportFromResult("mtc-incremental", *vio)
 		st.Report = &v
 	}
 	return st

@@ -1,34 +1,29 @@
 package mtcserve
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"mtc/internal/api"
+	"mtc/internal/checker"
 	"mtc/internal/history"
 )
 
-func post(t *testing.T, ts *httptest.Server, path string, h *history.History) (*http.Response, Verdict) {
+// checkJob submits req and, once it is accepted, waits for the job to
+// finish. It returns the submit response and the finished job's report
+// (nil when the job was refused or did not finish done).
+func checkJob(t *testing.T, ts *httptest.Server, req api.JobRequest) (*http.Response, *checker.Report) {
 	t.Helper()
-	var buf bytes.Buffer
-	if h != nil {
-		if err := history.WriteJSON(&buf, h); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		buf.WriteString("{bogus")
+	resp, job := submitJob(t, ts, req)
+	if resp.StatusCode != http.StatusAccepted {
+		return resp, nil
 	}
-	resp, err := http.Post(ts.URL+path, "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v Verdict
-	_ = json.NewDecoder(resp.Body).Decode(&v)
-	resp.Body.Close()
-	return resp, v
+	job = waitJob(t, ts, job.ID, 5*time.Second)
+	return resp, job.Report
 }
 
 func TestHealthz(t *testing.T) {
@@ -45,8 +40,8 @@ func TestCheckValidHistory(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	h := history.SerialHistory(20, "x", "y")
-	resp, v := post(t, ts, "/check?level=SER", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Level != "SER" {
+	resp, v := checkJob(t, ts, api.JobRequest{Level: "SER", History: h})
+	if resp.StatusCode != http.StatusAccepted || v == nil || !v.OK || v.Level != "SER" {
 		t.Fatalf("verdict: %d %+v", resp.StatusCode, v)
 	}
 	if v.Txns != len(h.Txns) || v.Edges == 0 {
@@ -58,16 +53,16 @@ func TestCheckViolationReturnsCounterexample(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	f := history.FixtureByName("WriteSkew")
-	_, v := post(t, ts, "/check?level=SER", f.H)
-	if v.OK || len(v.Cycle) == 0 || !strings.Contains(v.Detail, "RW") {
+	_, v := checkJob(t, ts, api.JobRequest{Level: "SER", History: f.H})
+	if v == nil || v.OK || len(v.Cycle) == 0 || !strings.Contains(v.Detail, "RW") {
 		t.Fatalf("want write-skew cycle, got %+v", v)
 	}
-	_, v = post(t, ts, "/check?level=SI", f.H)
-	if !v.OK {
+	_, v = checkJob(t, ts, api.JobRequest{Level: "SI", History: f.H})
+	if v == nil || !v.OK {
 		t.Fatalf("WriteSkew must pass SI: %+v", v)
 	}
-	_, v = post(t, ts, "/check?level=SI", history.FixtureByName("LostUpdate").H)
-	if v.OK || !strings.Contains(v.Detail, "DIVERGENCE") {
+	_, v = checkJob(t, ts, api.JobRequest{Level: "SI", History: history.FixtureByName("LostUpdate").H})
+	if v == nil || v.OK || !strings.Contains(v.Detail, "DIVERGENCE") {
 		t.Fatalf("want divergence detail, got %+v", v)
 	}
 }
@@ -76,16 +71,16 @@ func TestCheckBaselineCheckers(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	h := history.SerialHistory(10, "x")
-	resp, v := post(t, ts, "/check?level=SER&checker=cobra", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "cobra" {
+	resp, v := checkJob(t, ts, api.JobRequest{Checker: "cobra", Level: "SER", History: h})
+	if resp.StatusCode != http.StatusAccepted || v == nil || !v.OK || v.Checker != "cobra" {
 		t.Fatalf("cobra verdict: %d %+v", resp.StatusCode, v)
 	}
-	resp, v = post(t, ts, "/check?level=SI&checker=polysi", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "polysi" {
+	resp, v = checkJob(t, ts, api.JobRequest{Checker: "polysi", Level: "SI", History: h})
+	if resp.StatusCode != http.StatusAccepted || v == nil || !v.OK || v.Checker != "polysi" {
 		t.Fatalf("polysi verdict: %d %+v", resp.StatusCode, v)
 	}
 	// Mismatched level/checker combos are rejected.
-	resp, _ = post(t, ts, "/check?level=SI&checker=cobra", h)
+	resp, _ = checkJob(t, ts, api.JobRequest{Checker: "cobra", Level: "SI", History: h})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cobra on SI must 400, got %d", resp.StatusCode)
 	}
@@ -94,15 +89,19 @@ func TestCheckBaselineCheckers(t *testing.T) {
 func TestCheckErrors(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	resp, _ := post(t, ts, "/check?level=NOPE", history.SerialHistory(2))
+	resp, _ := checkJob(t, ts, api.JobRequest{Level: "NOPE", History: history.SerialHistory(2)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad level must 400, got %d", resp.StatusCode)
 	}
-	resp, _ = post(t, ts, "/check?level=SI", nil) // malformed body
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body must 400, got %d", resp.StatusCode)
+	raw, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"level":"SI","history":{bogus`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, _ = post(t, ts, "/check?checker=bogus", history.SerialHistory(2))
+	raw.Body.Close()
+	if raw.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad body must 400, got %d", raw.StatusCode)
+	}
+	resp, _ = checkJob(t, ts, api.JobRequest{Checker: "bogus", History: history.SerialHistory(2)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad checker must 400, got %d", resp.StatusCode)
 	}
@@ -111,7 +110,7 @@ func TestCheckErrors(t *testing.T) {
 func TestFixturesEndpoints(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/fixtures")
+	resp, err := http.Get(ts.URL + "/v1/fixtures")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("fixtures: %v", err)
 	}
@@ -121,22 +120,22 @@ func TestFixturesEndpoints(t *testing.T) {
 	if len(names) != 16 {
 		t.Fatalf("names = %v", names)
 	}
-	resp, err = http.Get(ts.URL + "/fixtures/WriteSkew?level=SI")
+	resp, err = http.Get(ts.URL + "/v1/fixtures/WriteSkew?level=SI")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatal("fixture lookup failed")
 	}
-	var v Verdict
+	var v checker.Report
 	_ = json.NewDecoder(resp.Body).Decode(&v)
 	resp.Body.Close()
-	if !v.OK {
+	if !v.OK || v.Level != "SI" {
 		t.Fatalf("WriteSkew/SI verdict: %+v", v)
 	}
-	resp, _ = http.Get(ts.URL + "/fixtures/Nope")
+	resp, _ = http.Get(ts.URL + "/v1/fixtures/Nope")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown fixture must 404, got %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp, _ = http.Get(ts.URL + "/fixtures/WriteSkew?level=NOPE")
+	resp, _ = http.Get(ts.URL + "/v1/fixtures/WriteSkew?level=NOPE")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad level must 400, got %d", resp.StatusCode)
 	}
@@ -146,8 +145,8 @@ func TestFixturesEndpoints(t *testing.T) {
 func TestDefaultLevelIsSI(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	_, v := post(t, ts, "/check", history.SerialHistory(3))
-	if v.Level != "SI" {
-		t.Fatalf("default level = %q", v.Level)
+	_, v := checkJob(t, ts, api.JobRequest{History: history.SerialHistory(3)})
+	if v == nil || v.Level != "SI" {
+		t.Fatalf("default level = %+v", v)
 	}
 }

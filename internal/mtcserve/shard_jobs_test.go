@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mtc/internal/api"
+	"mtc/internal/checker"
 	"mtc/internal/history"
 )
 
@@ -27,8 +28,8 @@ func tenantJobHistory() *history.History {
 }
 
 // TestJobSharded submits a multi-tenant history with the shard knob and
-// asserts the job routed through the sharded wrapper, echoed the
-// effective knobs, and reported the component decomposition.
+// asserts the job echoed the effective knobs under the engine's own
+// name, and the report carries the component decomposition.
 func TestJobSharded(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
@@ -36,27 +37,39 @@ func TestJobSharded(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sharded job rejected: %d", resp.StatusCode)
 	}
-	if job.Checker != "mtc-sharded" || job.Shard != 1 {
-		t.Fatalf("job document: checker %q shard %d, want mtc-sharded/1", job.Checker, job.Shard)
+	if job.Checker != "mtc" || job.Shard != 1 {
+		t.Fatalf("job document: checker %q shard %d, want mtc/1", job.Checker, job.Shard)
 	}
 	done := waitJob(t, ts, job.ID, 5*time.Second)
 	if done.State != api.JobDone || done.Report == nil || !done.Report.OK {
 		t.Fatalf("sharded job: %+v", done)
 	}
-	if done.Report.ShardComponents != 2 {
-		t.Fatalf("report.ShardComponents = %d, want 2", done.Report.ShardComponents)
+	if done.Report.Checker != "mtc" || done.Report.ShardComponents != 2 {
+		t.Fatalf("report: checker %q, %d components, want mtc/2", done.Report.Checker, done.Report.ShardComponents)
 	}
 	// The unsharded job agrees on the verdict and edge count.
 	_, ref := submitJob(t, ts, api.JobRequest{Checker: "mtc", Level: "SI", History: tenantJobHistory()})
 	refDone := waitJob(t, ts, ref.ID, 5*time.Second)
-	if refDone.Report == nil || refDone.Report.Edges != done.Report.Edges {
-		t.Fatalf("edge counts diverge: sharded %d vs unsharded %+v", done.Report.Edges, refDone.Report)
+	if refDone.Report == nil || refDone.Report.Edges != done.Report.Edges || refDone.Report.ShardComponents != 0 {
+		t.Fatalf("unsharded job diverges: sharded %d edges vs unsharded %+v", done.Report.Edges, refDone.Report)
 	}
-	// An explicitly sharded checker name with the knob set does not
-	// double-wrap.
-	_, j2 := submitJob(t, ts, api.JobRequest{Checker: "mtc-sharded", Level: "SI", Shard: 1, History: tenantJobHistory()})
-	if j2.Checker != "mtc-sharded" {
-		t.Fatalf("double-wrapped checker name %q", j2.Checker)
+}
+
+// TestJobShardedCustomRegistry: a server built on its own registry
+// shards its engines too.
+func TestJobShardedCustomRegistry(t *testing.T) {
+	mtc, err := checker.Lookup("mtc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg checker.Registry
+	reg.Register(mtc)
+	ts := httptest.NewServer(NewServer(&reg).Handler())
+	defer ts.Close()
+	_, job := submitJob(t, ts, api.JobRequest{Level: "SI", Shard: 1, History: tenantJobHistory()})
+	done := waitJob(t, ts, job.ID, 5*time.Second)
+	if done.State != api.JobDone || done.Report == nil || !done.Report.OK || done.Report.ShardComponents != 2 {
+		t.Fatalf("custom-registry sharded job: %+v", done)
 	}
 }
 

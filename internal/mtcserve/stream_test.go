@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,25 +38,29 @@ func doJSON(t *testing.T, method, url string, body any) (*http.Response, []byte)
 	return resp, out.Bytes()
 }
 
+// TestCheckersEndpoint: the registry is listed once per engine, under
+// its base name — sharding is a job option, not a checker.
 func TestCheckersEndpoint(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	resp, body := doJSON(t, "GET", ts.URL+"/checkers", nil)
+	resp, body := doJSON(t, "GET", ts.URL+"/v1/checkers", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/checkers: %d", resp.StatusCode)
+		t.Fatalf("/v1/checkers: %d", resp.StatusCode)
 	}
-	var infos []checkerInfo
+	var infos []api.CheckerInfo
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]bool{}
+	var got []string
 	for _, ci := range infos {
-		got[ci.Name] = len(ci.Levels) > 0
-	}
-	for _, name := range []string{"mtc", "mtc-incremental", "cobra", "polysi", "elle", "porcupine"} {
-		if !got[name] {
-			t.Fatalf("/checkers missing %q (got %v)", name, got)
+		if len(ci.Levels) == 0 {
+			t.Fatalf("%s lists no levels", ci.Name)
 		}
+		got = append(got, ci.Name)
+	}
+	want := []string{"causal", "cobra", "elle", "mtc", "mtc-incremental", "polysi", "porcupine", "profile", "ra", "rc"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/checkers = %v, want %v", got, want)
 	}
 }
 
@@ -63,57 +68,57 @@ func TestCheckRegistryCheckers(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 	h := history.SerialHistory(10, "x")
-	resp, v := post(t, ts, "/check?level=SER&checker=mtc-incremental", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "mtc-incremental" {
+	resp, v := checkJob(t, ts, api.JobRequest{Checker: "mtc-incremental", Level: "SER", History: h})
+	if resp.StatusCode != http.StatusAccepted || v == nil || !v.OK || v.Checker != "mtc-incremental" {
 		t.Fatalf("incremental verdict: %d %+v", resp.StatusCode, v)
 	}
-	resp, v = post(t, ts, "/check?level=SER&checker=elle", h)
-	if resp.StatusCode != http.StatusOK || !v.OK || v.Checker != "elle" {
+	resp, v = checkJob(t, ts, api.JobRequest{Checker: "elle", Level: "SER", History: h})
+	if resp.StatusCode != http.StatusAccepted || v == nil || !v.OK || v.Checker != "elle" {
 		t.Fatalf("elle verdict: %d %+v", resp.StatusCode, v)
 	}
-	// Porcupine on a non-LWT-shaped history is unprocessable.
+	// Porcupine on a non-LWT-shaped history is unprocessable: the job
+	// fails with the engine's reason instead of reporting a verdict.
 	b := history.NewBuilder("x", "y")
 	b.Txn(0, history.R("x", 0), history.W("x", 1), history.R("y", 0), history.W("y", 2))
-	resp, _ = post(t, ts, "/check?level=SSER&checker=porcupine", b.Build())
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("porcupine shape error must 422, got %d", resp.StatusCode)
+	_, job := submitJob(t, ts, api.JobRequest{Checker: "porcupine", Level: "SSER", History: b.Build()})
+	if done := waitJob(t, ts, job.ID, 5*time.Second); done.State != api.JobFailed || !strings.Contains(done.Error, "cannot process") {
+		t.Fatalf("porcupine shape error must fail the job, got %+v", done)
 	}
 }
 
-// TestCheckErrorBodiesAreStructured ensures every error path returns an
-// {error} JSON object with the right status.
+// TestCheckErrorBodiesAreStructured ensures every error path returns the
+// {error:{code,message}} envelope with the right status and code.
 func TestCheckErrorBodiesAreStructured(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
+	var serial strings.Builder
+	if err := history.WriteJSON(&serial, history.SerialHistory(2)); err != nil {
+		t.Fatal(err)
+	}
+	job := func(fields string) string { return `{` + fields + `"history":` + serial.String() + `}` }
 	cases := []struct {
 		name   string
+		method string
 		path   string
-		body   any
+		body   string
 		status int
+		code   string
 	}{
-		{"bad level", "/check?level=NOPE", history.SerialHistory(2), http.StatusBadRequest},
-		{"unknown checker", "/check?checker=bogus", history.SerialHistory(2), http.StatusBadRequest},
-		{"mismatched level", "/check?checker=cobra&level=SI", history.SerialHistory(2), http.StatusBadRequest},
-		{"malformed history", "/check?level=SI", "{bogus", http.StatusBadRequest},
-		{"empty body", "/check?level=SI", "", http.StatusBadRequest},
+		{"bad level", "POST", "/v1/jobs", job(`"level":"NOPE",`), http.StatusBadRequest, api.CodeUnsupportedLevel},
+		{"unknown checker", "POST", "/v1/jobs", job(`"checker":"bogus",`), http.StatusBadRequest, api.CodeUnknownChecker},
+		{"mismatched level", "POST", "/v1/jobs", job(`"checker":"cobra","level":"SI",`), http.StatusBadRequest, api.CodeUnsupportedLevel},
+		{"malformed history", "POST", "/v1/jobs", `{"level":"SI","history":{bogus`, http.StatusBadRequest, api.CodeBadRequest},
+		{"empty body", "POST", "/v1/jobs", "", http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var body any = tc.body
-			if h, ok := tc.body.(*history.History); ok {
-				var buf bytes.Buffer
-				if err := history.WriteJSON(&buf, h); err != nil {
-					t.Fatal(err)
-				}
-				body = buf.String()
-			}
-			resp, raw := doJSON(t, "POST", ts.URL+tc.path, body)
+			resp, raw := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, raw)
 			}
-			var e apiError
-			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
-				t.Fatalf("error body not structured: %q (%v)", raw, err)
+			var e api.ErrorResponse
+			if err := json.Unmarshal(raw, &e); err != nil || e.Error.Code != tc.code || e.Error.Message == "" {
+				t.Fatalf("error body not structured as %s: %q (%v)", tc.code, raw, err)
 			}
 		})
 	}
@@ -125,7 +130,7 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 
-	resp, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SER", Keys: []history.Key{"x", "y"}})
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SER", Keys: []history.Key{"x", "y"}})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("open: %d %s", resp.StatusCode, body)
 	}
@@ -141,7 +146,7 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 		{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 1)}},
 		{Session: 1, Committed: true, Ops: []history.Op{history.R("x", 1), history.W("x", 2)}},
 	}
-	resp, body = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", txns)
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", txns)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feed: %d %s", resp.StatusCode, body)
 	}
@@ -152,12 +157,12 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 
 	// Single-object payloads are accepted too.
 	one := history.Txn{Session: 0, Committed: true, Ops: []history.Op{history.R("y", 0), history.W("y", 7)}}
-	resp, body = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", one)
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", one)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feed one: %d %s", resp.StatusCode, body)
 	}
 
-	resp, body = doJSON(t, "GET", ts.URL+"/sessions/"+st.ID+"/verdict?final=1", nil)
+	resp, body = doJSON(t, "GET", ts.URL+"/v1/sessions/"+st.ID+"/verdict?final=1", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("verdict: %d", resp.StatusCode)
 	}
@@ -167,16 +172,16 @@ func TestStreamingSessionLifecycle(t *testing.T) {
 	}
 
 	// Feeding a finalized session conflicts.
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", one)
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", one)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("feed after final must 409, got %d", resp.StatusCode)
 	}
 
-	resp, _ = doJSON(t, "DELETE", ts.URL+"/sessions/"+st.ID, nil)
+	resp, _ = doJSON(t, "DELETE", ts.URL+"/v1/sessions/"+st.ID, nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, "GET", ts.URL+"/sessions/"+st.ID+"/verdict", nil)
+	resp, _ = doJSON(t, "GET", ts.URL+"/v1/sessions/"+st.ID+"/verdict", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session must 404, got %d", resp.StatusCode)
 	}
@@ -188,7 +193,7 @@ func TestStreamingSessionCatchesViolation(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 
-	_, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
 	var st api.SessionStatus
 	_ = json.Unmarshal(body, &st)
 
@@ -196,7 +201,7 @@ func TestStreamingSessionCatchesViolation(t *testing.T) {
 		{Session: 0, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 1)}},
 		{Session: 1, Committed: true, Ops: []history.Op{history.R("x", 0), history.W("x", 2)}}, // lost update
 	}
-	resp, body := doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", txns)
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", txns)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feed: %d", resp.StatusCode)
 	}
@@ -214,7 +219,7 @@ func TestStreamingSessionErrors(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
 
-	resp, raw := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SSER"})
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SSER"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("SSER session must 400, got %d", resp.StatusCode)
 	}
@@ -222,23 +227,23 @@ func TestStreamingSessionErrors(t *testing.T) {
 	if err := json.Unmarshal(raw, &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 		t.Fatalf("error body not structured: %q", raw)
 	}
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions", "{bogus")
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions", "{bogus")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad session body must 400, got %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions/nope/txns", []history.Txn{})
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions/nope/txns", []history.Txn{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session must 404, got %d", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, "DELETE", ts.URL+"/sessions/nope", nil)
+	resp, _ = doJSON(t, "DELETE", ts.URL+"/v1/sessions/nope", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session delete must 404, got %d", resp.StatusCode)
 	}
 
-	_, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "si"})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "si"})
 	var st api.SessionStatus
 	_ = json.Unmarshal(body, &st)
-	resp, _ = doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns", "{bogus")
+	resp, _ = doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns", "{bogus")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad txns payload must 400, got %d", resp.StatusCode)
 	}
@@ -250,8 +255,8 @@ func TestDefaultCheckerFlagged(t *testing.T) {
 	srv.DefaultChecker = "cobra"
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	_, v := post(t, ts, "/check", history.SerialHistory(3, "x"))
-	if v.Checker != "cobra" || v.Level != "SER" {
+	_, v := checkJob(t, ts, api.JobRequest{History: history.SerialHistory(3, "x")})
+	if v == nil || v.Checker != "cobra" || v.Level != "SER" {
 		t.Fatalf("default checker not applied: %+v", v)
 	}
 }
@@ -263,7 +268,7 @@ func TestSessionLimit(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	open := func() (*http.Response, api.SessionStatus) {
-		resp, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SI"})
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI"})
 		var st api.SessionStatus
 		_ = json.Unmarshal(body, &st)
 		return resp, st
@@ -278,7 +283,7 @@ func TestSessionLimit(t *testing.T) {
 		t.Fatal("429 must carry a Retry-After header")
 	}
 	// Deleting a session frees a slot.
-	doJSON(t, "DELETE", ts.URL+"/sessions/"+st1.ID, nil)
+	doJSON(t, "DELETE", ts.URL+"/v1/sessions/"+st1.ID, nil)
 	if resp, _ := open(); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("slot not freed: %d", resp.StatusCode)
 	}
@@ -289,10 +294,10 @@ func TestSessionLimit(t *testing.T) {
 func TestSessionTxnRequiresCommitted(t *testing.T) {
 	ts := httptest.NewServer(Handler())
 	defer ts.Close()
-	_, body := doJSON(t, "POST", ts.URL+"/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/sessions", api.SessionRequest{Level: "SI", Keys: []history.Key{"x"}})
 	var st api.SessionStatus
 	_ = json.Unmarshal(body, &st)
-	resp, raw := doJSON(t, "POST", ts.URL+"/sessions/"+st.ID+"/txns",
+	resp, raw := doJSON(t, "POST", ts.URL+"/v1/sessions/"+st.ID+"/txns",
 		`[{"sess":0,"ops":[{"k":0,"key":"x","v":0},{"k":1,"key":"x","v":1}]}]`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing committed must 400, got %d (%s)", resp.StatusCode, raw)

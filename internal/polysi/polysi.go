@@ -32,21 +32,16 @@ type Report struct {
 
 // CheckSI verifies snapshot isolation of a general (or MT) history.
 func CheckSI(h *history.History) Report {
-	rep, _ := CheckSICtx(context.Background(), h)
+	rep, _ := CheckSIPar(context.Background(), h, 1)
 	return rep
 }
 
-// CheckSICtx is CheckSI under a context: both the pruning fixpoint and
-// the SAT search poll ctx, so a deadline stops the run promptly. The
-// Report is only meaningful when the returned error is nil. Pruning runs
-// serially; CheckSIPar parallelizes it.
-func CheckSICtx(ctx context.Context, h *history.History) (Report, error) {
-	return CheckSIPar(ctx, h, 1)
-}
-
-// CheckSIPar is CheckSICtx with the (SI-sound) pruning stage sharded
-// over a bounded worker pool. par <= 0 selects GOMAXPROCS. The verdict
-// and all statistics except wall-clock are identical at every par.
+// CheckSIPar is CheckSI under a context, with the (SI-sound) pruning
+// stage sharded over a bounded worker pool. Both the pruning fixpoint
+// and the SAT search poll ctx, so a deadline stops the run promptly; the
+// Report is only meaningful when the returned error is nil. par <= 0
+// selects GOMAXPROCS, 1 prunes serially. The verdict and all statistics
+// except wall-clock are identical at every par.
 func CheckSIPar(ctx context.Context, h *history.History, par int) (Report, error) {
 	ix := history.NewIndex(h)
 	if as := history.CheckInternalIndexed(ix); len(as) > 0 {

@@ -101,17 +101,12 @@ type lit struct {
 	val int8
 }
 
-// Solve searches for an orientation of cons whose activated edges, unioned
-// with known, satisfy the theory built by mk. n is the node count.
-func Solve(n int, known []Edge, cons []Constraint, mk func(n int) Theory) Result {
-	res, _ := SolveCtx(context.Background(), n, known, cons, mk)
-	return res
-}
-
-// SolveCtx is Solve under a context: the search polls ctx every few
-// decisions and unwinds with the context's error when it fires, so a
-// deadline bounds even an exponential search. The partial Result carries
-// the statistics accumulated up to the cancellation point.
+// SolveCtx searches for an orientation of cons whose activated edges,
+// unioned with known, satisfy the theory built by mk. n is the node
+// count. The search polls ctx every few decisions and unwinds with the
+// context's error when it fires, so a deadline bounds even an
+// exponential search. The partial Result carries the statistics
+// accumulated up to the cancellation point.
 func SolveCtx(ctx context.Context, n int, known []Edge, cons []Constraint, mk func(n int) Theory) (Result, error) {
 	checkRange(n, known)
 	for _, c := range cons {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,48 +14,20 @@ import (
 	"mtc/internal/history"
 )
 
-// Suffix is appended to an engine's name to form its sharded wrapper's
-// registry name ("mtc" -> "mtc-sharded").
-const Suffix = "-sharded"
-
-// Name maps an engine name to its sharded wrapper's registry name;
-// already-sharded names pass through unchanged.
-func Name(engine string) string {
-	if strings.HasSuffix(engine, Suffix) {
-		return engine
+// Run resolves name in reg with the level default and validation of
+// checker.Registry.Run, then checks h: through Check when opts.Shard > 0,
+// directly through the engine otherwise. It is the entry point that
+// honours Options.Shard, for any engine of any registry.
+func Run(ctx context.Context, reg *checker.Registry, name string, h *history.History, opts checker.Options) (checker.Report, error) {
+	c, lvl, err := reg.Resolve(name, opts.Level)
+	if err != nil {
+		return checker.Report{}, err
 	}
-	return engine + Suffix
-}
-
-// IsSharded reports whether name is a sharded wrapper's registry name.
-func IsSharded(name string) bool { return strings.HasSuffix(name, Suffix) }
-
-func init() {
-	// Wrap every engine registered so far (the package init of
-	// internal/checker runs first — this package imports it), so the
-	// default registry serves a "*-sharded" twin of each base engine.
-	for _, c := range checker.Default.All() {
-		if !IsSharded(c.Name()) {
-			checker.Register(Wrap(c))
-		}
+	opts.Level = lvl
+	if opts.Shard > 0 {
+		return Check(ctx, c, h, opts)
 	}
-}
-
-// sharded is the component-sharded wrapper of one base engine.
-type sharded struct{ base checker.Checker }
-
-// Wrap returns a checker that decomposes every history into its
-// key/session-disjoint components (Split), checks up to Options.Shard
-// components concurrently through the wrapped engine, and merges the
-// per-component reports (Merge). Its name is the base name plus
-// "-sharded"; its levels are the base's.
-func Wrap(c checker.Checker) checker.Checker { return sharded{base: c} }
-
-func (s sharded) Name() string            { return Name(s.base.Name()) }
-func (s sharded) Levels() []checker.Level { return s.base.Levels() }
-
-func (s sharded) Check(ctx context.Context, h *history.History, opts checker.Options) (checker.Report, error) {
-	return Check(ctx, s.base, h, opts)
+	return c.Check(ctx, h, opts)
 }
 
 // Check is the sharded driver: decompose h, check the components
@@ -77,7 +48,6 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 		if err != nil {
 			return checker.Report{}, err
 		}
-		rep.Checker = Name(c.Name())
 		rep.ShardComponents = len(p.Components)
 		if rep.ShardComponents == 0 {
 			rep.ShardComponents = 1 // nothing to split (e.g. init-only history)
@@ -155,12 +125,13 @@ func Check(ctx context.Context, c checker.Checker, h *history.History, opts chec
 //     offending component's witness prefixed with its component index
 //     (the transaction/session ids in it are component-local).
 //
-// Engine-specific Detail strings are kept from the first-offending
-// component; structured fields (anomalies, cycle edges) always carry
-// external ids.
+// The merged report names engine as its checker; ShardComponents is
+// what marks it sharded. Engine-specific Detail strings are kept from
+// the first-offending component; structured fields (anomalies, cycle
+// edges) always carry external ids.
 func Merge(p *Partition, engine string, lvl checker.Level, reports []checker.Report) checker.Report {
 	out := checker.Report{
-		Checker: Name(engine), Level: lvl, OK: true,
+		Checker: engine, Level: lvl, OK: true,
 		Txns:            len(p.Source.Txns),
 		ShardComponents: len(p.Components),
 	}

@@ -13,9 +13,8 @@ import (
 )
 
 // TestShardedLevelsConcurrently runs ONE multi-tenant history through
-// the registry's sharded wrappers at Shard 1, 2 and GOMAXPROCS
-// simultaneously — the workers share the history, the partition logic
-// and the wrapped engines, so under -race this is the proof that the
+// Run at Shard 1, 2 and GOMAXPROCS simultaneously — the workers share
+// the history, the partition logic and the engines, so under -race this is the proof that the
 // component fan-out and the merge touch no shared mutable state.
 // Alongside the workers, a cancellation goroutine submits the same job
 // under an immediately-expiring context and asserts the component loop
@@ -23,7 +22,7 @@ import (
 func TestShardedLevelsConcurrently(t *testing.T) {
 	h := tenantHistory(4, 30)
 	levels := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, name := range []string{"mtc-sharded", "mtc-incremental-sharded", "polysi-sharded"} {
+	for _, name := range []string{"mtc", "mtc-incremental", "polysi"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var (
@@ -36,7 +35,7 @@ func TestShardedLevelsConcurrently(t *testing.T) {
 					wg.Add(1)
 					go func(sh int) {
 						defer wg.Done()
-						r, err := checker.Run(context.Background(), name, h, checker.Options{Level: core.SI, Shard: sh})
+						r, err := Run(context.Background(), checker.Default, name, h, checker.Options{Level: core.SI, Shard: sh})
 						if err != nil {
 							t.Errorf("shard %d: %v", sh, err)
 							return
@@ -54,7 +53,7 @@ func TestShardedLevelsConcurrently(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
 				start := time.Now()
-				_, err := checker.Run(ctx, name, h, checker.Options{Level: core.SI, Shard: 2})
+				_, err := Run(ctx, checker.Default, name, h, checker.Options{Level: core.SI, Shard: 2})
 				if err == nil {
 					t.Error("canceled sharded run returned no error")
 				}

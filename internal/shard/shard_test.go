@@ -161,7 +161,7 @@ func TestMergeFirstOffense(t *testing.T) {
 	b.Txn(0, history.R("x", 77))                   // T3, component 0 (x): thin-air
 	h := b.Build()
 
-	rep, err := checker.Run(context.Background(), "mtc-sharded", h, checker.Options{Level: core.SI, Shard: 2})
+	rep, err := Run(context.Background(), checker.Default, "mtc", h, checker.Options{Level: core.SI, Shard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +192,15 @@ func TestMergeFirstOffense(t *testing.T) {
 }
 
 // TestShardedSingleComponentFallback: a fully-coupled history passes
-// through the wrapped engine directly, with the wrapper's name and a
-// component count of 1.
+// through the engine directly, with the engine's name and a component
+// count of 1.
 func TestShardedSingleComponentFallback(t *testing.T) {
 	h := history.SerialHistory(10, "x")
-	rep, err := checker.Run(context.Background(), "mtc-sharded", h, checker.Options{Level: core.SER})
+	rep, err := Run(context.Background(), checker.Default, "mtc", h, checker.Options{Level: core.SER, Shard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK || rep.ShardComponents != 1 || rep.Checker != "mtc-sharded" {
+	if !rep.OK || rep.ShardComponents != 1 || rep.Checker != "mtc" {
 		t.Fatalf("fallback report: %+v", rep)
 	}
 	ref, err := checker.Run(context.Background(), "mtc", h, checker.Options{Level: core.SER})
@@ -212,24 +212,43 @@ func TestShardedSingleComponentFallback(t *testing.T) {
 	}
 }
 
-// TestShardedRegistry: every base engine has a "-sharded" twin with the
-// same levels.
+// TestShardedRegistry: sharding is Options.Shard over any engine of any
+// registry. Run shards every engine of the default registry at its
+// default level — the merged report names the engine and agrees with
+// the unsharded verdict — and shards an engine of a registry that holds
+// nothing else. Run rejects what Registry.Run rejects.
 func TestShardedRegistry(t *testing.T) {
-	for _, name := range []string{"mtc", "mtc-incremental", "cobra", "polysi", "elle", "porcupine"} {
-		base, err := checker.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	h := tenantHistory(2, 3)
+	for _, name := range checker.Names() {
+		ref, refErr := checker.Run(ctx, name, h, checker.Options{})
+		rep, err := Run(ctx, checker.Default, name, h, checker.Options{Shard: 2})
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("%s: sharded error %v, unsharded error %v", name, err, refErr)
 		}
-		wrapped, err := checker.Lookup(Name(name))
 		if err != nil {
-			t.Fatalf("no sharded twin for %s: %v", name, err)
+			continue // an engine that cannot process this history either way
 		}
-		if !reflect.DeepEqual(base.Levels(), wrapped.Levels()) {
-			t.Fatalf("%s levels diverge: %v vs %v", name, base.Levels(), wrapped.Levels())
+		if rep.Checker != name || rep.ShardComponents != 2 || rep.OK != ref.OK || rep.Level != ref.Level {
+			t.Fatalf("%s: sharded %+v, unsharded %+v", name, rep, ref)
 		}
 	}
-	if Name("mtc-sharded") != "mtc-sharded" {
-		t.Fatal("Name must be idempotent")
+
+	mtc, err := checker.Lookup("mtc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg checker.Registry
+	reg.Register(mtc)
+	rep, err := Run(ctx, &reg, "mtc", h, checker.Options{Shard: 2})
+	if err != nil || !rep.OK || rep.ShardComponents != 2 || rep.Level != mtc.Levels()[0] {
+		t.Fatalf("custom registry: %+v, %v", rep, err)
+	}
+	if _, err := Run(ctx, &reg, "cobra", h, checker.Options{Shard: 2}); err == nil {
+		t.Fatal("an engine missing from the registry must be an error")
+	}
+	if _, err := Run(ctx, &reg, "mtc", h, checker.Options{Level: core.RC, Shard: 2}); err == nil {
+		t.Fatal("a level the engine does not list must be an error")
 	}
 }
 
@@ -275,7 +294,7 @@ func TestDriverChecksComponentsConcurrently(t *testing.T) {
 // components and prepends the partition phase.
 func TestShardedTimings(t *testing.T) {
 	h := tenantHistory(3, 4)
-	rep, err := checker.Run(context.Background(), "mtc-sharded", h, checker.Options{Level: core.SER, Shard: 2})
+	rep, err := Run(context.Background(), checker.Default, "mtc", h, checker.Options{Level: core.SER, Shard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

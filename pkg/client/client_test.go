@@ -32,9 +32,8 @@ func TestJobRoundTrip(t *testing.T) {
 	if err := c.Healthy(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	// Ten base engines plus their component-sharded twins.
 	infos, err := c.Checkers(ctx)
-	if err != nil || len(infos) != 20 {
+	if err != nil || len(infos) != 10 {
 		t.Fatalf("checkers: %v %v", infos, err)
 	}
 

@@ -19,12 +19,11 @@
 // check (Report.CompactedEpochs reports how often it compacted).
 //
 // Multi-tenant and other key-disjoint histories can be verified with
-// structural parallelism above the engine: every engine has a
-// component-sharded twin (Sharded(name), e.g. "mtc-sharded") that
-// partitions the history into key/session-disjoint components and
-// checks up to Options.Shard of them concurrently, with merged verdicts
-// identical to unsharded checking (Report.ShardComponents reports the
-// decomposition; see docs/sharding.md).
+// structural parallelism above the engine: Options.Shard > 0 partitions
+// the history into key/session-disjoint components and checks up to
+// Shard of them concurrently through the named engine, with merged
+// verdicts identical to unsharded checking (Report.ShardComponents
+// reports the decomposition; see docs/sharding.md).
 //
 // For the HTTP service, see pkg/client.
 package mtc
@@ -105,7 +104,7 @@ func Levels() []Level { return checker.AllLevels() }
 // The top-level OK/counterexample fields reflect opts.Level (default
 // SI), so Profile is a drop-in replacement for a single-level Check.
 func Profile(ctx context.Context, h *History, opts Options) (Report, error) {
-	return checker.Run(ctx, "profile", h, opts)
+	return Check(ctx, "profile", h, opts)
 }
 
 // DefaultParallelism returns the worker-pool size the engines use when
@@ -114,20 +113,14 @@ func Profile(ctx context.Context, h *History, opts Options) (Report, error) {
 // setting, only wall-clock changes.
 func DefaultParallelism() int { return graph.Parallelism(0) }
 
-// Sharded maps an engine name to its component-sharded twin in the
-// registry ("mtc" -> "mtc-sharded"); already-sharded names pass through.
-// The twin decomposes every history into its key/session-disjoint
-// components and checks up to Options.Shard of them concurrently through
-// the base engine, merging the per-component reports into one verdict
-// with external transaction positions preserved.
-func Sharded(name string) string { return shard.Name(name) }
-
 // Check runs the named engine from the default registry on h under ctx.
+// With opts.Shard > 0 it checks h component by component and merges the
+// verdicts, with external transaction positions preserved.
 // Cancellation stops the engine inside its hot loops; the returned error
 // is then ctx's error. Use IsUnsupported to detect histories the engine
 // cannot process.
 func Check(ctx context.Context, name string, h *History, opts Options) (Report, error) {
-	return checker.Run(ctx, name, h, opts)
+	return shard.Run(ctx, checker.Default, name, h, opts)
 }
 
 // IsUnsupported reports whether err marks a history the engine cannot

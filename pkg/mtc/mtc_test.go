@@ -50,3 +50,33 @@ func TestLevelsOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckShardOption: Options.Shard is the one switch for sharded
+// checking through the public API — the same verdict on a 4-tenant
+// history, with the decomposition reported only when asked for.
+func TestCheckShardOption(t *testing.T) {
+	b := mtc.NewHistoryBuilder("a", "b", "c", "d")
+	for i := 0; i < 3; i++ {
+		for s, k := range []mtc.Key{"a", "b", "c", "d"} {
+			b.Txn(s, mtc.Read(k, mtc.Value(i)), mtc.Write(k, mtc.Value(i+1)))
+		}
+	}
+	h := b.Build()
+	ctx := context.Background()
+	plain, err := mtc.Check(ctx, "mtc", h, mtc.Options{Level: mtc.SER})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := mtc.Check(ctx, "mtc", h, mtc.Options{Level: mtc.SER, Shard: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.OK || sharded.OK != plain.OK || sharded.Txns != plain.Txns || sharded.Edges != plain.Edges ||
+		sharded.Checker != plain.Checker {
+		t.Fatalf("verdicts diverge:\nShard 0: %+v\nShard 2: %+v", plain, sharded)
+	}
+	if plain.ShardComponents != 0 || sharded.ShardComponents != 4 {
+		t.Fatalf("ShardComponents = %d (Shard 0) and %d (Shard 2), want 0 and 4",
+			plain.ShardComponents, sharded.ShardComponents)
+	}
+}
